@@ -177,7 +177,6 @@ def run_one_cell(
         k,
         cache=cache,
         jobs=int(opts.get("jobs", 1)),
-        executor=str(opts.get("executor", "thread")),
     )
     wall_started = time.perf_counter()
     counters_before = metrics.counters()

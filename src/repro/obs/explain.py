@@ -184,11 +184,10 @@ class TreeDecisions:
 class DecisionRecorder:
     """Collects per-tree decision records from the mapper.
 
-    Thread-safe: the parallel tree fan-out records different trees from
-    different worker threads.  Output order is independent of execution
-    order — trees come back in the forest order the mapper declares via
-    :meth:`set_order` — so records are bit-identical across serial,
-    ``jobs=N``, and warm-cache runs.
+    Thread-safe: a lock guards the record table.  Output order is
+    independent of recording order — trees come back in the forest
+    order the mapper declares via :meth:`set_order` — so records are
+    bit-identical across serial, cold-cache, and warm-cache runs.
     """
 
     def __init__(self) -> None:

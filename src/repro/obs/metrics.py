@@ -69,8 +69,8 @@ class MetricsRegistry:
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, HistogramStat] = {}
-        # Writers run on parallel-mapping worker threads too; the
-        # read-modify-write updates need the lock to avoid lost counts.
+        # Writers may run on several threads; the read-modify-write
+        # updates need the lock to avoid lost counts.
         self._lock = threading.Lock()
 
     # -- writers -----------------------------------------------------------

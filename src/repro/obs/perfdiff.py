@@ -8,7 +8,7 @@ of the parallel phase.
 
 Raw wall seconds are honest only on the machine that measured them, so
 the gating metrics are **phase ratios** — warm/serial, warm/cold,
-parallel/serial — which describe the cache and the executor rather
+parallel/serial — which describe the cache and the worker pool rather
 than the host.  Ratios still jitter (the phases are timed separately),
 so every policy carries a relative-plus-absolute tolerance band, like
 the QoR diff's soft metrics.  Raw per-phase seconds are classified and
@@ -202,8 +202,8 @@ def _extra_phase_policies(
 ) -> Tuple[PerfPolicy, ...]:
     """Non-gating seconds rows for phase names the static policies miss.
 
-    The bench-perf harness grows phase names over time (the process
-    executor's jobs x pool-reuse matrix legs, for instance); records in
+    The bench-perf harness grows phase names over time (the worker
+    pool's jobs x pool-reuse matrix legs, for instance); records in
     a committed ``perf_history.json`` predate them.  New names get
     informational seconds rows when both records carry them, and are
     simply skipped — never treated as regressions — when one side lacks
@@ -306,14 +306,8 @@ def parallel_attribution(record: PerfRecord) -> List[str]:
     tasks = int(workers.get("tasks", 0) or 0)
     lines.append(
         "worker buckets over %d tasks: %.3fs compute, %.3fs queue wait, "
-        "%d bytes of pickled payloads (%s executor)"
-        % (
-            tasks,
-            compute,
-            queue_wait,
-            pickle_bytes,
-            workers.get("executor", "?"),
-        )
+        "%d bytes of pickled payloads"
+        % (tasks, compute, queue_wait, pickle_bytes)
     )
     cores = record.environment.get("cpu_affinity")
     if cores is None:
@@ -329,8 +323,8 @@ def parallel_attribution(record: PerfRecord) -> List[str]:
     elif compute > 0 and queue_wait > 0.5 * compute:
         lines.append(
             "verdict: queue wait is %.0f%% of compute — workers are starved "
-            "waiting for tasks (or the GIL); raise chunk sizes or switch "
-            "executors" % (100.0 * queue_wait / compute)
+            "waiting for tasks; raise chunk sizes"
+            % (100.0 * queue_wait / compute)
         )
     elif pickle_bytes > 0 and seconds is not None and serial is not None:
         lines.append(

@@ -103,7 +103,7 @@ class ProgressEmitter:
     line per event (``None`` silences it); ``callback`` receives every
     :class:`ProgressEvent` object; ``json_stream`` receives one JSON
     line per event.  All three sinks are independent.  Thread-safe:
-    parallel sweeps finish cells from pool threads.
+    events may arrive from any thread.
     """
 
     def __init__(

@@ -127,8 +127,8 @@ class JsonLinesSink(Sink):
         else:
             self._handle = target
             self._owns_handle = False
-        # Spans may finish on parallel-mapping worker threads; the lock
-        # keeps each JSON line contiguous in the output.
+        # Spans may finish on any thread; the lock keeps each JSON line
+        # contiguous in the output.
         self._lock = threading.Lock()
 
     def emit(self, record: SpanRecord) -> None:
@@ -235,9 +235,8 @@ class _LiveSpan:
 class Tracer:
     """Span factory with a stack of live spans and a tuple of sinks.
 
-    The live-span stack is thread-local: spans opened on a parallel
-    worker thread become roots of their own tree (carrying a ``worker``
-    attribute when the caller sets one) instead of corrupting the
+    The live-span stack is thread-local: spans opened on another thread
+    become roots of their own tree instead of corrupting the
     parent/depth bookkeeping of spans on other threads.  Span ids stay
     globally unique under a lock; sinks are shared across threads.
     """

@@ -26,12 +26,11 @@ back into analyzable structure:
   Brendan Gregg's ``flamegraph.pl`` and by speedscope
   (``chortle perf flame``).
 
-Thread-parallel traces: spans opened on worker threads start fresh
-roots (the tracer's stack is thread-local), so a ``jobs > 1`` trace
-holds one tree per worker *plus* the main-thread tree whose
-``chortle.parallel`` span covers the same wall-clock interval.  Self
-times still sum to the sum of root durations, but that sum exceeds the
-elapsed wall clock — CPU seconds across workers, not wall seconds.
+Parallel traces: ``jobs > 1`` maps trees in worker processes, whose
+spans stay in the workers' own tracers.  The parent trace shows one
+``chortle.parallel`` span covering the fan-out, with no per-tree
+children; the worker time is attributed by the ``perf.parallel.*``
+counters instead (see :mod:`repro.perf.parallel`).
 """
 
 from __future__ import annotations

@@ -40,8 +40,8 @@ submitted work unit records:
   clamped to zero);
 * *task seconds* — in-worker compute time for the unit;
 * *pickle bytes* — the serialized size of the submitted payload, i.e.
-  the per-unit cost the process pool pays that threads do not (now a
-  token-sized constant, not the subject network);
+  the per-unit cost of crossing into a worker process (a token-sized
+  constant, not the subject network);
 * *subject misses* — tasks resubmitted with a subject blob because a
   worker predated the subject's registration;
 * *worker cache traffic* — hit/miss/eviction deltas from each worker's
@@ -122,16 +122,7 @@ def record_worker_telemetry(
     metrics.observe("perf.parallel.task_seconds", telemetry["task_seconds"])
 
 
-def record_task_telemetry(queue_wait: float, task_seconds: float) -> None:
-    """The thread-executor variant: no pickling, no remote registry."""
-    record_worker_telemetry(
-        {"queue_wait": queue_wait, "task_seconds": task_seconds}
-    )
-
-
-def worker_buckets(
-    delta: Dict[str, int], jobs: int, executor: str
-) -> Dict[str, object]:
+def worker_buckets(delta: Dict[str, int], jobs: int) -> Dict[str, object]:
     """Summarize a ``perf.parallel.*`` counter delta into named buckets.
 
     The bench-perf harness records this as the parallel phase's
@@ -140,7 +131,6 @@ def worker_buckets(
     """
     buckets: Dict[str, object] = {
         "jobs": jobs,
-        "executor": executor,
         "tasks": delta.get("perf.parallel.tasks", 0),
         "compute_seconds": round(
             delta.get("perf.parallel.task_us", 0) / 1e6, 4

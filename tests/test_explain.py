@@ -51,19 +51,17 @@ class TestRecordingIdentity:
         for seed in range(4):
             net = make_random_network(seed, num_gates=14)
             _, serial = explain_json(net, k=4)
-            _, threaded = explain_json(net, k=4, jobs=2)
             cache = NodeTableCache()
             _, cold = explain_json(net, k=4, cache=cache)
             _, warm = explain_json(net, k=4, cache=cache)
-            assert threaded == serial
             assert cold == serial  # recording bypasses the cache entirely
             assert warm == serial
 
     def test_process_executor_rejects_recorder(self):
+        # jobs > 1 maps on worker processes, which cannot stream
+        # decisions back: recording is serial-only.
         with pytest.raises(MappingError):
-            ChortleMapper(
-                k=4, recorder=DecisionRecorder(), executor="process", jobs=2
-            )
+            ChortleMapper(k=4, recorder=DecisionRecorder(), jobs=2)
 
 
 class TestExplanationContent:

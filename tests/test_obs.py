@@ -416,8 +416,8 @@ class TestConcurrency:
             assert inner.depth == 1
 
     def test_global_metrics_registry_under_mapping_pool(self):
-        # End to end: parallel tree mapping writes shared counters from
-        # pool threads; the delta must equal the serial run's.
+        # End to end: parallel tree mapping runs in pool workers, and the
+        # parent's emission counters must equal the serial run's.
         net = mcnc_circuit("count")
         before = metrics.counters()
         ChortleMapper(k=4).map(net)

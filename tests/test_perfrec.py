@@ -237,7 +237,6 @@ class TestPerfDiff:
     def test_markdown_dashboard(self):
         workers = {
             "jobs": 2,
-            "executor": "thread",
             "tasks": 60,
             "compute_seconds": 0.3,
             "queue_wait_seconds": 1.4,
@@ -259,7 +258,6 @@ class TestParallelAttribution:
     def test_buckets_and_time_slice_verdict(self):
         workers = {
             "jobs": 2,
-            "executor": "thread",
             "tasks": 60,
             "compute_seconds": 0.3,
             "queue_wait_seconds": 1.4,
@@ -277,7 +275,6 @@ class TestParallelAttribution:
     def test_starvation_verdict_when_cores_suffice(self):
         workers = {
             "jobs": 2,
-            "executor": "thread",
             "tasks": 60,
             "compute_seconds": 0.3,
             "queue_wait_seconds": 1.4,
@@ -292,7 +289,6 @@ class TestParallelAttribution:
     def test_serialization_verdict(self):
         workers = {
             "jobs": 2,
-            "executor": "process",
             "tasks": 4,
             "compute_seconds": 1.0,
             "queue_wait_seconds": 0.1,
