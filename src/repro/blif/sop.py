@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from repro.errors import BlifError
-from repro.truth.truthtable import TruthTable
+from repro.truth.truthtable import TruthTable, projection_words
 
 _CUBE_CHARS = frozenset("01-")
 
@@ -91,13 +91,25 @@ class SopCover:
         return int(covered == bool(self.phase))
 
     def truth_table(self) -> TruthTable:
-        """The cover's function with variable order = column order."""
+        """The cover's function with variable order = column order.
+
+        Bit-parallel: a cube is the AND of its literals' projection
+        words, and the cover is the OR of its cubes.
+        """
         n = len(self.inputs)
+        words = projection_words(n)
+        full = (1 << (1 << n)) - 1
         bits = 0
-        for m in range(1 << n):
-            assignment = [(m >> j) & 1 for j in range(n)]
-            if self.evaluate(assignment):
-                bits |= 1 << m
+        for cube in self.cubes:
+            term = full
+            for word, ch in zip(words, cube):
+                if ch == "1":
+                    term &= word
+                elif ch == "0":
+                    term &= ~word
+            bits |= term
+        if not self.phase:
+            bits ^= full
         return TruthTable(n, bits)
 
     # -- construction helpers --------------------------------------------------

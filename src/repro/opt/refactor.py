@@ -17,9 +17,11 @@ from repro.blif.sop import SopCover
 from repro.core.forest import Tree, build_forest
 from repro.network.network import AND, BooleanNetwork
 from repro.network.transform import sweep
+from repro.obs import metrics
 from repro.opt.factor import factor_cover
 from repro.opt.minimize import minimize_cover
 from repro.opt.script import _emit_factor_tree
+from repro.truth.truthtable import TruthTable, projection_words
 
 
 def _tree_root_function(
@@ -29,17 +31,9 @@ def _tree_root_function(
     leaves = sorted(tree.leaves)
     n = len(leaves)
     width = 1 << n
-    words: Dict[str, int] = {}
-    for j, leaf in enumerate(leaves):
-        period = 1 << j
-        block = ((1 << period) - 1) << period
-        word = 0
-        for start in range(0, width, 2 * period):
-            word |= block << start
-        words[leaf] = word
 
     # Evaluate only the cone between leaves and root.
-    values = dict(words)
+    values: Dict[str, int] = dict(zip(leaves, projection_words(n)))
     order = [x for x in net.topological_order() if x in tree.internal]
     mask = (1 << width) - 1
     for name in order:
@@ -56,8 +50,6 @@ def _tree_root_function(
             else:
                 acc |= word
         values[name] = acc
-
-    from repro.truth.truthtable import TruthTable
 
     tt = TruthTable(n, values[tree.root])
     return SopCover.from_truth_table(leaves, tree.root, tt)
@@ -83,6 +75,7 @@ def refactor_network(
         cover = _tree_root_function(net, tree)
         rebuilt[tree.root] = minimize_cover(cover)
         drop |= tree.internal - {tree.root}
+    metrics.count("refactor.trees", len(rebuilt))
 
     out = BooleanNetwork(net.name)
     for name in net.topological_order():

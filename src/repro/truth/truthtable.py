@@ -9,8 +9,9 @@ hashable, so they can be used as dictionary keys for Boolean matching.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Tuple
 
 
 def _full_mask(nvars: int) -> int:
@@ -278,6 +279,17 @@ class TruthTable:
     def to_binary_string(self) -> str:
         """MSB-first binary string, one character per assignment."""
         return format(self._bits, "0%db" % (1 << self._nvars))
+
+
+@functools.lru_cache(maxsize=None)
+def projection_words(nvars: int) -> Tuple[int, ...]:
+    """``TruthTable.var(j, nvars).bits`` for every ``j``, built once per width.
+
+    These are the bit-parallel simulation inputs: AND/OR/NOT of these
+    words evaluates a function on all ``2**nvars`` assignments at once.
+    The cache holds at most 25 entries: tables stop at 24 variables.
+    """
+    return tuple(TruthTable.var(j, nvars).bits for j in range(nvars))
 
 
 def all_permutations(nvars: int) -> Iterable[tuple]:

@@ -1,5 +1,7 @@
 """Tests for SOP covers."""
 
+import random
+
 import pytest
 
 from repro.blif.sop import SopCover
@@ -105,3 +107,43 @@ class TestTruthTableRoundTrip:
 
     def test_repr(self):
         assert "cubes=1" in repr(SopCover(["a"], "y", ["1"]))
+
+
+def _truth_table_by_evaluation(cover):
+    """The cover's truth table, one evaluate() call per minterm."""
+    n = cover.num_inputs
+    bits = 0
+    for m in range(1 << n):
+        if cover.evaluate([(m >> j) & 1 for j in range(n)]):
+            bits |= 1 << m
+    return TruthTable(n, bits)
+
+
+class TestBitParallelTruthTable:
+    """truth_table() agrees with per-minterm evaluate() on every cover shape."""
+
+    @pytest.mark.parametrize("phase", [0, 1])
+    @pytest.mark.parametrize("cubes", [[], [""], ["", ""]])
+    def test_zero_input_covers(self, cubes, phase):
+        cover = SopCover([], "y", cubes, phase=phase)
+        assert cover.truth_table() == _truth_table_by_evaluation(cover)
+
+    @pytest.mark.parametrize("phase", [0, 1])
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_empty_and_all_dash_covers(self, n, phase):
+        names = ["x%d" % j for j in range(n)]
+        for cubes in ([], ["-" * n], ["1" + "-" * (n - 1), "-" * n]):
+            cover = SopCover(names, "y", cubes, phase=phase)
+            assert cover.truth_table() == _truth_table_by_evaluation(cover)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_seeded_covers(self, n):
+        rng = random.Random(n)
+        names = ["x%d" % j for j in range(n)]
+        for _ in range(12):
+            cubes = [
+                "".join(rng.choice("01--") for _ in range(n))
+                for _ in range(rng.randint(0, 8))
+            ]
+            cover = SopCover(names, "y", cubes, phase=rng.randint(0, 1))
+            assert cover.truth_table() == _truth_table_by_evaluation(cover)
