@@ -60,7 +60,7 @@ class ChortleMapper:
         recorder=None,
     ):
         if jobs is None:
-            from repro.obs.perfrec import effective_affinity
+            from repro.perf.pool import effective_affinity
 
             jobs = effective_affinity() or os.cpu_count() or 1
         if recorder is not None and jobs > 1:

@@ -17,15 +17,15 @@ transitively import this package):
 * :mod:`repro.obs.progress` — per-cell heartbeat streaming for long
   sweeps (``--progress``);
 * :mod:`repro.obs.qor` / :mod:`repro.obs.qordiff` — versioned QoR run
-  records, baseline diffing, regression gating;
-* :mod:`repro.obs.perfrec` / :mod:`repro.obs.perfdiff` — the perf
-  observatory: durable perf records, append-only history,
-  noise-tolerant trend diffing (``chortle perf record|diff|gate``).
+  records, baseline diffing, regression gating.
+
+The perf gate is not here: ``chortle bench-perf`` gates its own payload
+(:func:`repro.perf.benchperf.bench_gate`), and cross-commit timing is
+the repo benchmark's job (``perfbench/``).
 
 ::
 
     from repro.obs.qor import RunRecord
-    from repro.obs.perfrec import PerfRecord, PerfHistory
     from repro.obs.traceview import hotspots, folded_stacks
 
 See ``docs/OBSERVABILITY.md`` for the span-name and counter catalogue

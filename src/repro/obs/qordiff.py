@@ -67,18 +67,20 @@ class MetricPolicy:
         return UNCHANGED
 
 
-# LUT count and depth regress hard; wall time only beyond 50% + 250ms of
-# noise headroom.  Shared CI runners routinely jitter individual sub-second
-# cells by 1.5x, so the band is wide; a genuine systematic slowdown (2x on
-# the multi-second circuits) still fails the gate.
+# LUT count and depth regress hard and gate.  Wall times are classified
+# beyond 50% + 250ms of noise headroom and shown on the dashboard, but
+# never gate: raw seconds recorded on another host measure the host, not
+# the program (a 2-vCPU runner reads the committed baseline's des/pair
+# cells at ~1.8x with every LUT unchanged).  Cross-commit timing is the
+# repo benchmark's job, which runs parent and change on one host.
 DEFAULT_POLICIES: Tuple[MetricPolicy, ...] = (
     MetricPolicy("luts", hard=True),
     MetricPolicy("depth", hard=True),
-    MetricPolicy("seconds", hard=False, rel_tol=0.50, abs_tol=0.25),
-    # Whole-cell wall clock (mapping + verify + report assembly): shown on
-    # the dashboard but non-gating — the gating runtime signal stays the
-    # mapper-only `seconds`.  Skipped automatically against baselines
-    # recorded before the field existed.
+    # Mapper-only wall clock.
+    MetricPolicy("seconds", hard=False, rel_tol=0.50, abs_tol=0.25,
+                 gate=False),
+    # Whole-cell wall clock (mapping + verify + report assembly).  Skipped
+    # automatically against baselines recorded before the field existed.
     MetricPolicy("wall_seconds", hard=False, rel_tol=0.50, abs_tol=0.25,
                  gate=False),
 )

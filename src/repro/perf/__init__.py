@@ -9,8 +9,9 @@ Three coordinated pieces (see ``docs/PERFORMANCE.md``):
   to the uncached tree DP.
 * :mod:`repro.perf.parallel` — deterministic process-pool fan-out of
   forest trees (tree-level) and benchmark suite cells (suite-level).
-* :mod:`repro.perf.benchperf` — the measured perf trajectory behind
-  ``chortle bench-perf`` and the committed ``BENCH_perf.json``.
+* :mod:`repro.perf.benchperf` — the measured perf trajectory and its
+  gate behind ``chortle bench-perf`` and the committed
+  ``BENCH_perf.json``.
 
 Submodule attributes are re-exported lazily: :mod:`repro.perf.lru` must
 stay importable from low layers (``repro.truth.canonical`` uses it), so

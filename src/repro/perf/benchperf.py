@@ -1,6 +1,7 @@
-"""Measured perf trajectory: the harness behind ``chortle bench-perf``.
+"""Measured perf trajectory: the harness and the gate behind ``chortle bench-perf``.
 
-Times the Table 1-4 suite through the chortle engine in four phases —
+Times the Table 1-4 suite through the chortle engine in seven sweeps
+(:data:`PHASES`):
 
 * ``serial_uncached`` — the reference configuration: one cell at a time,
   no memo cache.  Every other phase's ``speedup_vs_serial`` is measured
@@ -9,36 +10,37 @@ Times the Table 1-4 suite through the chortle engine in four phases —
   cache (:class:`~repro.perf.memo.NodeTableCache`).  Pays the misses,
   but repeated tree shapes within the sweep already hit.
 * ``warm_cache``      — the sweep again on the now-populated cache.
-* ``parallel``        — uncached, with ``jobs`` worker processes of the
-  fork-once pool (:mod:`repro.perf.pool`) mapping forest trees
-  concurrently inside each cell.
+* ``parallel_proc_j<N>_cold`` / ``parallel_proc_j<N>_reuse`` — uncached,
+  with ``N`` worker processes of the fork-once pool
+  (:mod:`repro.perf.pool`) mapping forest trees concurrently inside each
+  cell, for each ``N`` in :data:`MATRIX_JOBS`.  The cold leg tears the
+  shared pool down first, so it pays worker start-up; the reuse leg runs
+  on the now-warm pool and its self-warmed worker caches.
 
-— plus, unless disabled, a **jobs × phase matrix** of legs over the
-same pool: for each jobs value in :data:`MATRIX_JOBS` a ``pool_cold``
-leg (the shared pool is torn down first, so the leg pays worker
-start-up) and a ``pool_reuse`` leg (the now-warm pool and its
-self-warmed worker caches are reused).  The legs land in the ``phases``
-block under ``parallel_proc_j<N>_<cold|reuse>`` names and are
-summarized in the ``matrix`` block.
+:func:`bench_gate` turns the payload into the verdict, and the
+``bench-perf`` exit status is that verdict.  It is a pure function of
+the payload and checks four things:
 
-Every phase must produce *identical* QoR (LUTs / counted LUTs / depth
-per cell) — the harness cross-checks and reports ``qor_identical``; a
-mismatch fails the gate, because a cache or a worker pool that changes
-results is a correctness bug, not a performance feature.
+* every phase produced *identical* QoR (LUTs / counted LUTs / depth per
+  cell) — a cache or a worker pool that changes results is a
+  correctness bug, not a performance feature;
+* the warm phase is not slower than the cold phase beyond
+  :data:`WARM_TOLERANCE` plus :data:`WARM_NOISE_FLOOR` seconds — the
+  regression mode a broken cache exhibits first;
+* the warm phase missed nothing when the cold phase evicted nothing — a
+  deterministic check of the same cache, free of timer noise;
+* when the host offers enough schedulable cores, the best parallel leg
+  beats serial outright.  That verdict is never silently passed: on
+  smaller hosts it is recorded as ``skipped (insufficient cores)``
+  (time-slicing workers measures overhead, not scaling), and on sweeps
+  whose serial leg is shorter than :data:`PARALLEL_NOISE_FLOOR` as
+  ``skipped (below noise floor)`` (pool dispatch and scheduler jitter
+  swamp the work).
 
-The gate additionally requires the warm-cache phase to not be slower
-than the cold phase beyond a noise tolerance — the regression mode a
-broken cache exhibits first (all misses plus lookup overhead) — and,
-when the host offers at least two schedulable cores, a parallel leg at
-``jobs >= 2`` (with no more jobs than cores) to beat serial outright.
-The parallel verdict is never silently passed: on smaller hosts it is
-recorded as ``skipped (insufficient cores)`` (time-slicing two workers
-on one core measures overhead, not scaling), and on sweeps whose serial
-leg is shorter than :data:`PARALLEL_NOISE_FLOOR` as ``skipped (below
-noise floor)`` (pool dispatch and scheduler jitter swamp the work).
-CI runs ``chortle bench-perf --quick --gate`` on every push; the
-committed ``BENCH_perf.json`` at the repository root is a full-suite
-run.
+CI runs ``chortle bench-perf --quick`` on every push; the committed
+``BENCH_perf.json`` at the repository root is a full-suite run.
+Comparing performance across commits is the job of the repo benchmark
+(``perfbench/``), which runs both commits on one host.
 
 Phase wall clocks are wrapped in ``bench.perf_phase`` tracer spans and
 the cache counters land in the metrics registry (``perf.cache.*``), so
@@ -50,28 +52,46 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.bench.mcnc import TABLE_CIRCUITS, mcnc_circuit
 from repro.bench.runner import mapper_factory, run_one_cell
 from repro.network.network import BooleanNetwork
 from repro.network.transform import sweep
 from repro.obs import metrics, span
-from repro.obs.perfrec import collect_perf_environment, effective_affinity
 from repro.obs.progress import ProgressEmitter, resolve_progress
+from repro.obs.qor import collect_environment
 from repro.perf.memo import NodeTableCache
 from repro.perf.parallel import worker_buckets
-from repro.perf.pool import register_subject, reset_pool
+from repro.perf.pool import effective_affinity, register_subject, reset_pool
 
 #: Bump when the result layout changes.  2: jobs x phase matrix legs,
 #: ``matrix`` summary block, explicit parallel gate verdict, and the
 #: schedulable-core set in ``config``.  3: no ``executor`` keys (every
 #: jobs > 1 phase runs on processes) and the noise-floor verdict.
-SCHEMA = 3
+#: 4: no ``parallel`` / ``parallel_proc_j1`` legs (they repeated the
+#: jobs=2 cold leg and the serial sweep), no ``matrix`` block (it copied
+#: the phase seconds), no ``config.jobs``, and the warm-phase-misses
+#: check in the gate.
+SCHEMA = 4
 
-#: Worker counts the matrix sweeps (1 is the serial reference leg; the
-#: others exercise the fork-once pool).
-MATRIX_JOBS: Tuple[int, ...] = (1, 2, 4)
+#: Worker counts of the parallel legs (each gets a cold-pool and a
+#: pool-reuse leg).
+MATRIX_JOBS: Tuple[int, ...] = (2, 4)
+
+#: Every sweep of one trajectory, in run order:
+#: ``(phase name, cached, jobs, pool reuse)``.  ``pool reuse`` is
+#: ``None`` for the serial phases, which never engage the pool.
+PHASES: Tuple[Tuple[str, bool, int, Optional[bool]], ...] = (
+    ("serial_uncached", False, 1, None),
+    ("cold_cache", True, 1, None),
+    ("warm_cache", True, 1, None),
+) + tuple(
+    ("parallel_proc_j%d_%s" % (jobs, "reuse" if reuse else "cold"),
+     False, jobs, reuse)
+    for jobs in MATRIX_JOBS
+    for reuse in (False, True)
+)
 
 #: The ``--quick`` subset: small enough for a CI smoke job, repetitive
 #: enough (shared tree shapes across circuits and K values) that the
@@ -82,18 +102,26 @@ QUICK_KS: Tuple[int, ...] = (3, 4)
 #: Warm may be at most this fraction slower than cold before the gate
 #: fails (timer noise on loaded CI machines; a healthy warm phase is
 #: dramatically *faster*).
-DEFAULT_WARM_TOLERANCE = 0.20
+WARM_TOLERANCE = 0.20
 
 #: Absolute seconds added on top of the relative warm tolerance so
 #: millisecond-scale runs (a single tiny cell) don't fail the gate on
 #: scheduler jitter alone.  Negligible against real suite wall clocks.
-_WARM_NOISE_FLOOR = 0.05
+WARM_NOISE_FLOOR = 0.05
 
 #: Serial-leg seconds below which the parallel verdict is skipped rather
 #: than checked.  A 9symml K=3 cell (~0.1 s) measured 0.85x-1.40x across
 #: back-to-back runs; the ``--quick`` suite (~0.6 s serial on a 2-core
 #: x86 host) sits comfortably above the floor, so CI still gates on it.
 PARALLEL_NOISE_FLOOR = 0.3
+
+
+def collect_perf_environment(cwd: Optional[str] = None) -> Dict[str, object]:
+    """The QoR environment block plus the CPU topology perf depends on."""
+    env: Dict[str, object] = dict(collect_environment(cwd))
+    env["cpu_count"] = os.cpu_count()
+    env["cpu_affinity"] = effective_affinity()
+    return env
 
 
 def _run_phase(
@@ -169,24 +197,6 @@ def _run_phase(
     return record, qor
 
 
-def _matrix_legs(jobs: int) -> List[Tuple[str, int, Optional[bool]]]:
-    """The matrix sweep: (phase name, jobs, pool reuse) per leg.
-
-    ``jobs=1`` is the serial reference leg (the pool never engages, so
-    reuse is ``None``); every larger jobs value gets a cold-pool leg —
-    :func:`~repro.perf.pool.reset_pool` first, so the leg pays worker
-    start-up — and a reuse leg on the warm pool.
-    """
-    legs: List[Tuple[str, int, Optional[bool]]] = []
-    for jobs_n in sorted(set(MATRIX_JOBS) | ({jobs} if jobs > 1 else set())):
-        if jobs_n == 1:
-            legs.append(("parallel_proc_j1", 1, None))
-            continue
-        legs.append(("parallel_proc_j%d_cold" % jobs_n, jobs_n, False))
-        legs.append(("parallel_proc_j%d_reuse" % jobs_n, jobs_n, True))
-    return legs
-
-
 def _parallel_gate(
     phases: Dict[str, dict], affinity: Optional[int]
 ) -> Dict[str, object]:
@@ -210,17 +220,14 @@ def _parallel_gate(
             "serial_seconds": serial,
             "ok": None,
         }
-    legs = {}
+    eligible = {}
     for name, record in phases.items():
         jobs = int(record.get("jobs", 1) or 1)
-        if jobs < 2 or name in ("serial_uncached", "cold_cache", "warm_cache"):
+        speedup = record.get("speedup_vs_serial")
+        if jobs < 2 or speedup is None:
             continue
-        legs[name] = (jobs, record.get("speedup_vs_serial"))
-    eligible = {
-        name: speedup
-        for name, (jobs, speedup) in legs.items()
-        if affinity is not None and affinity >= jobs and speedup is not None
-    }
+        if affinity is not None and affinity >= jobs:
+            eligible[name] = speedup
     if not eligible:
         return {
             "status": "skipped (insufficient cores)",
@@ -238,36 +245,72 @@ def _parallel_gate(
     }
 
 
+def _warm_phase_all_hits(phases: Mapping[str, dict]) -> Optional[bool]:
+    """Whether the warm phase missed nothing; ``None`` when not checkable.
+
+    A cold phase that evicted nothing leaves every node table it saw in
+    the cache, and the warm phase replays the same cells, so any warm
+    miss means the cache lost or failed to match an entry.  After cold
+    evictions, warm misses are expected and the check is skipped.
+    """
+    if phases["cold_cache"]["cache"]["evictions"]:
+        return None
+    return phases["warm_cache"]["cache"]["misses"] == 0
+
+
+def bench_gate(payload: Mapping) -> Dict[str, object]:
+    """The bench-perf verdict, a pure function of the payload.
+
+    ``pass`` is true when every phase's QoR matched serial, warm was not
+    slower than cold beyond the tolerance, the warm phase missed nothing
+    (when checkable) and the parallel verdict did not fail; skipped
+    checks (``None``) never fail it.
+    """
+    phases = payload["phases"]
+    warm = phases["warm_cache"]["seconds"]
+    cold = phases["cold_cache"]["seconds"]
+    # The relative tolerance plus a small absolute floor: on runs whose
+    # phases finish in tens of milliseconds (one tiny cell), scheduler
+    # jitter swamps any real cache effect and a pure ratio check flakes.
+    warm_ok = warm <= cold * (1.0 + WARM_TOLERANCE) + WARM_NOISE_FLOOR
+    all_hits = _warm_phase_all_hits(phases)
+    qor_identical = bool(payload["qor_identical"])
+    parallel = _parallel_gate(phases, payload["config"]["cpu_affinity"])
+    return {
+        "qor_identical": qor_identical,
+        "warm_not_slower_than_cold": warm_ok,
+        "warm_phase_all_hits": all_hits,
+        "parallel": parallel,
+        "pass": qor_identical
+        and warm_ok
+        and all_hits is not False
+        and parallel["ok"] is not False,
+    }
+
+
 def run_bench_perf(
     circuits: Optional[Sequence[str]] = None,
     ks: Optional[Sequence[int]] = None,
     mappers: Sequence[str] = ("chortle",),
-    jobs: int = 2,
     quick: bool = False,
     created_at: str = "",
-    warm_tolerance: Optional[float] = None,
     cache_dir: Optional[str] = None,
     progress: object = False,
-    matrix: bool = True,
 ) -> dict:
     """Measure the perf trajectory; returns the ``BENCH_perf.json`` payload.
 
     ``circuits`` / ``ks`` default to the full Table 1-4 suite (or the
-    CI-sized ``--quick`` subset when ``quick`` is set).  ``jobs`` sizes
-    the parallel phase's worker pool.  ``matrix`` additionally sweeps
-    the jobs x pool-reuse legs (see the module docstring); pass
-    ``False`` to skip them.  When ``cache_dir`` is given, the warm cache
-    is additionally saved to disk there and immediately re-loaded into a
-    fresh cache, recording the round trip.
+    CI-sized ``--quick`` subset when ``quick`` is set).  Every sweep of
+    :data:`PHASES` runs once.  When ``cache_dir`` is given, the warm
+    cache is additionally saved to disk there and immediately re-loaded
+    into a fresh cache, recording the round trip.
     ``progress`` takes ``True`` (heartbeat lines on stderr) or a
     :class:`~repro.obs.progress.ProgressEmitter` for per-cell
     started/finished/ETA events across all phases.
 
-    The returned payload carries a ``gate`` block; callers that want a
-    pass/fail exit check ``gate["pass"]``.
+    The returned payload carries the :func:`bench_gate` verdict as its
+    ``gate`` block; ``gate["pass"]`` is the pass/fail answer.
     """
-    if warm_tolerance is None:
-        warm_tolerance = DEFAULT_WARM_TOLERANCE
     if circuits is None:
         circuits = QUICK_CIRCUITS if quick else TABLE_CIRCUITS
     if ks is None:
@@ -283,25 +326,16 @@ def run_bench_perf(
     ]
 
     cache = NodeTableCache()
-    phase_specs = [
-        ("serial_uncached", None, 1, None),
-        ("cold_cache", cache, 1, None),
-        ("warm_cache", cache, 1, None),
-        ("parallel", None, max(2, jobs), None),
-    ]
-    matrix_legs = _matrix_legs(jobs) if matrix else []
-    for leg_name, leg_jobs, reuse in matrix_legs:
-        phase_specs.append((leg_name, None, leg_jobs, reuse))
-    emitter = resolve_progress(progress, total=len(cells) * len(phase_specs))
+    emitter = resolve_progress(progress, total=len(cells) * len(PHASES))
     phases: Dict[str, dict] = {}
     qor_by_phase: Dict[str, List[list]] = {}
-    for name, phase_cache, phase_jobs, reuse in phase_specs:
+    for name, cached, jobs, reuse in PHASES:
         if reuse is False:
             # A cold-pool leg measures worker start-up: tear the shared
             # pool down so the leg forks fresh workers.
             reset_pool()
         record, qor = _run_phase(
-            name, cells, phase_cache, phase_jobs, progress=emitter
+            name, cells, cache if cached else None, jobs, progress=emitter
         )
         if reuse is not None:
             record["pool_reuse"] = reuse
@@ -323,7 +357,6 @@ def run_bench_perf(
             if ref_row != row:
                 mismatches.append({"phase": name, "expected": ref_row,
                                    "got": row})
-    qor_identical = not mismatches
 
     disk = None
     if cache_dir:
@@ -337,25 +370,6 @@ def run_bench_perf(
             "round_trip_ok": loaded == len(cache),
         }
 
-    warm = phases["warm_cache"]["seconds"]
-    cold = phases["cold_cache"]["seconds"]
-    # The relative tolerance plus a small absolute floor: on runs whose
-    # phases finish in tens of milliseconds (one tiny cell), scheduler
-    # jitter swamps any real cache effect and a pure ratio check flakes.
-    warm_ok = warm <= cold * (1.0 + warm_tolerance) + _WARM_NOISE_FLOOR
-    affinity = effective_affinity()
-    parallel_gate = _parallel_gate(phases, affinity)
-    gate = {
-        "warm_tolerance": warm_tolerance,
-        "warm_not_slower_than_cold": warm_ok,
-        "qor_identical": qor_identical,
-        "parallel": parallel_gate,
-        # An ineligible host skips the parallel verdict explicitly
-        # rather than failing it (ok is None) — only a measured
-        # speedup <= 1.0x on an eligible host fails.
-        "pass": warm_ok and qor_identical and parallel_gate["ok"] is not False,
-    }
-
     sched = None
     if hasattr(os, "sched_getaffinity"):
         sched = sorted(os.sched_getaffinity(0))
@@ -367,28 +381,16 @@ def run_bench_perf(
             "circuits": [net.name for net in networks],
             "ks": list(ks),
             "mappers": list(mappers),
-            "jobs": max(2, jobs),
             "cpu_count": os.cpu_count(),
-            "cpu_affinity": affinity,
+            "cpu_affinity": effective_affinity(),
             "sched_getaffinity": sched,
         },
         "environment": collect_perf_environment(),
         "cells": len(cells),
         "phases": phases,
-        "qor_identical": qor_identical,
-        "gate": gate,
+        "qor_identical": not mismatches,
     }
-    if matrix_legs:
-        result["matrix"] = [
-            {
-                "phase": leg_name,
-                "jobs": leg_jobs,
-                "pool_reuse": reuse,
-                "seconds": phases[leg_name]["seconds"],
-                "speedup_vs_serial": phases[leg_name]["speedup_vs_serial"],
-            }
-            for leg_name, leg_jobs, reuse in matrix_legs
-        ]
+    result["gate"] = bench_gate(result)
     if mismatches:
         result["qor_mismatches"] = mismatches[:20]
     if disk is not None:
@@ -406,10 +408,15 @@ def render_bench_perf(result: dict) -> str:
             result["config"]["ks"],
         )
     ]
-    canonical = ("serial_uncached", "cold_cache", "warm_cache", "parallel")
-    matrix_names = [row["phase"] for row in result.get("matrix", [])]
-    for name in list(canonical) + matrix_names:
-        phase = result["phases"][name]
+    cores = result["config"].get("cpu_affinity")
+    if cores is None:
+        cores = result["config"].get("cpu_count")
+    oversubscribed: Set[int] = set()
+    for name, _cached, _jobs, _reuse in PHASES:
+        phase = result["phases"].get(name)
+        if phase is None:
+            continue
+        jobs = phase.get("jobs", 1)
         extra = ""
         if phase.get("cache"):
             extra = "  (cache: %d hits / %d misses, %.0f%% hit rate)" % (
@@ -417,13 +424,15 @@ def render_bench_perf(result: dict) -> str:
                 phase["cache"]["misses"],
                 100.0 * phase["cache"]["hit_rate"],
             )
-        if phase.get("jobs", 1) > 1:
+        if jobs > 1:
             extra = "  (jobs=%d%s)" % (
-                phase["jobs"],
+                jobs,
                 ""
                 if "pool_reuse" not in phase
                 else (", warm pool" if phase["pool_reuse"] else ", cold pool"),
             )
+            if isinstance(cores, int) and jobs > cores:
+                oversubscribed.add(jobs)
         lines.append(
             "  %-22s %8.3fs  %5.2fx vs serial%s"
             % (name, phase["seconds"], phase["speedup_vs_serial"] or 0.0,
@@ -442,15 +451,11 @@ def render_bench_perf(result: dict) -> str:
                     workers["pickle_bytes"],
                 )
             )
-    jobs = result["config"]["jobs"]
-    cores = result["config"].get("cpu_affinity")
-    if cores is None:
-        cores = result["config"].get("cpu_count")
-    if isinstance(cores, int) and jobs > cores:
+    for jobs in sorted(oversubscribed):
         lines.append(
-            "  WARNING: parallel phase ran jobs=%d on %d schedulable "
-            "core(s); workers time-slice one core, so speedup <= 1.0x "
-            "measures overhead, not scaling" % (jobs, cores)
+            "  WARNING: jobs=%d legs ran on %d schedulable core(s); workers "
+            "time-slice, so their speedup measures overhead, not scaling"
+            % (jobs, cores)
         )
     gate = result["gate"]
     verdict = gate.get("parallel")
@@ -478,6 +483,17 @@ def render_bench_perf(result: dict) -> str:
                     verdict.get("best_speedup") or 0.0,
                 )
             )
+    if "warm_not_slower_than_cold" in gate:
+        all_hits = gate.get("warm_phase_all_hits")
+        lines.append(
+            "  warm vs cold: %s; warm-phase misses: %s"
+            % (
+                "ok" if gate["warm_not_slower_than_cold"] else "SLOWER",
+                "skipped (cold phase evicted)"
+                if all_hits is None
+                else ("none" if all_hits else "FOUND"),
+            )
+        )
     lines.append(
         "  QoR identical across phases: %s; gate %s"
         % (

@@ -36,6 +36,7 @@ import atexit
 import concurrent.futures
 import itertools
 import multiprocessing
+import os
 import pickle
 from typing import Dict, Optional
 
@@ -43,6 +44,7 @@ from repro.obs import metrics
 
 __all__ = [
     "WorkerPool",
+    "effective_affinity",
     "get_pool",
     "reset_pool",
     "pool_start_method",
@@ -57,6 +59,17 @@ _FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 def pool_start_method() -> str:
     """``fork`` where the platform offers it, else ``spawn``."""
     return "fork" if _FORK_AVAILABLE else "spawn"
+
+
+def effective_affinity() -> Optional[int]:
+    """Cores this process may actually run on (None where unsupported).
+
+    On a containerized host this routinely differs from
+    ``os.cpu_count()``; worker counts and parallel verdicts use it.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return None  # pragma: no cover - macOS/Windows
 
 
 # -- the subject registry ----------------------------------------------------

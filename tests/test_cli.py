@@ -273,20 +273,6 @@ class TestTracingAndProfile:
 class TestPerfCommands:
     """Smoke tests for the ``chortle perf`` observatory group."""
 
-    @pytest.fixture(scope="class")
-    def perf_artifacts(self, tmp_path_factory):
-        """One quick measurement, saved and appended, reused class-wide."""
-        root = tmp_path_factory.mktemp("perfcli")
-        history = root / "hist.json"
-        record = root / "rec.json"
-        rc = main(
-            ["perf", "record", "--quick", "--history", str(history),
-             "-o", str(record), "--timestamp", "2026-08-08T00:00:00Z",
-             "--label", "test"]
-        )
-        assert rc == 0
-        return history, record
-
     def test_top_prints_self_time_table(self, capsys):
         rc = main(["perf", "top", "--circuits", "9symml", "--ks", "3"])
         assert rc == 0
@@ -321,72 +307,6 @@ class TestPerfCommands:
         for line in lines:
             assert re.match(r"^[^ ]+(;[^ ]+)* \d+$", line), line
         assert any(line.startswith("perf.suite") for line in lines)
-
-    def test_record_appends_history(self, perf_artifacts, capsys):
-        import json
-
-        history, record = perf_artifacts
-        capsys.readouterr()
-        data = json.loads(history.read_text())
-        assert len(data["records"]) == 1
-        saved = json.loads(record.read_text())
-        assert saved["label"] == "test"
-        assert {
-            "serial_uncached", "cold_cache", "warm_cache", "parallel",
-        } <= set(saved["phases"])
-
-    def test_gate_passes_on_unchanged_record(self, perf_artifacts, capsys):
-        history, record = perf_artifacts
-        rc = main(
-            ["perf", "gate", "--history", str(history),
-             "--current", str(record)]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0, out
-        assert "gate PASS" in out
-
-    def test_gate_fails_on_synthetic_warm_slowdown(
-        self, perf_artifacts, tmp_path, capsys
-    ):
-        import json
-
-        history, record = perf_artifacts
-        bad = json.loads(record.read_text())
-        bad["phases"]["warm_cache"]["seconds"] = (
-            bad["phases"]["cold_cache"]["seconds"] * 3 + 1.0
-        )
-        bad_path = tmp_path / "bad.json"
-        bad_path.write_text(json.dumps(bad))
-        dashboard = tmp_path / "dash.md"
-        rc = main(
-            ["perf", "gate", "--history", str(history),
-             "--current", str(bad_path), "--markdown", str(dashboard)]
-        )
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "REGRESSED warm_vs_cold" in out
-        text = dashboard.read_text()
-        assert "FAIL" in text
-        assert "Parallel phase attribution" in text
-
-    def test_diff_between_artifacts(self, perf_artifacts, capsys):
-        history, record = perf_artifacts
-        # History files are valid diff inputs (newest record wins).
-        rc = main(["perf", "diff", str(history), str(record)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "gate PASS" in out
-
-    def test_gate_on_empty_history_is_clean_error(self, tmp_path, capsys):
-        missing = tmp_path / "none.json"
-        record = tmp_path / "rec.json"
-        record.write_text("{}")
-        rc = main(
-            ["perf", "gate", "--history", str(missing),
-             "--current", str(record)]
-        )
-        assert rc == 2  # ReproError path: clean message, no traceback
-        assert "error:" in capsys.readouterr().err
 
     def test_bench_perf_progress_heartbeats(self, capsys):
         rc = main(

@@ -178,18 +178,36 @@ class TestBitIdentity:
 
 class TestJobsSizing:
     def test_jobs_none_uses_schedulable_cores(self, monkeypatch):
-        import repro.obs.perfrec as perfrec
+        import repro.perf.pool as pool
 
         # A cgroup-limited container: many CPUs, few schedulable cores.
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         for cores in (1, 3):
             monkeypatch.setattr(
-                perfrec, "effective_affinity", lambda n=cores: n
+                pool, "effective_affinity", lambda n=cores: n
             )
             assert ChortleMapper(k=4, jobs=None).jobs == cores
         # Without affinity support the CPU count is the fallback.
-        monkeypatch.setattr(perfrec, "effective_affinity", lambda: None)
+        monkeypatch.setattr(pool, "effective_affinity", lambda: None)
         assert ChortleMapper(k=4, jobs=None).jobs == 64
+
+
+class TestPerfEnvironment:
+    def test_collects_both_core_counts(self):
+        from repro.perf.benchperf import collect_perf_environment
+
+        env = collect_perf_environment()
+        assert "cpu_count" in env and "cpu_affinity" in env
+        assert env["cpu_count"] is None or env["cpu_count"] >= 1
+        # The QoR environment fields ride along.
+        assert "python" in env and "git_sha" in env
+
+    def test_affinity_at_most_cpu_count(self):
+        from repro.perf.pool import effective_affinity
+
+        affinity = effective_affinity()
+        if affinity is not None and os.cpu_count():
+            assert 1 <= affinity <= os.cpu_count()
 
 
 class TestDiskCache:
@@ -272,35 +290,37 @@ class TestBenchPerf:
         return run_bench_perf(
             circuits=["9symml"],
             ks=(3,),
-            jobs=2,
             created_at="2026-08-06T00:00:00Z",
             cache_dir=str(tmp_path_factory.mktemp("perfcache")),
         )
 
     def test_phases_and_speedups(self, payload):
         phases = payload["phases"]
-        assert {
-            "serial_uncached", "cold_cache", "warm_cache", "parallel",
-        } <= set(phases)
+        # Seven sweeps, no leg repeating another's configuration.
+        assert list(phases) == [
+            "serial_uncached", "cold_cache", "warm_cache",
+            "parallel_proc_j2_cold", "parallel_proc_j2_reuse",
+            "parallel_proc_j4_cold", "parallel_proc_j4_reuse",
+        ]
         assert phases["serial_uncached"]["speedup_vs_serial"] == 1.0
         for record in phases.values():
             assert record["seconds"] >= 0.0
+        assert "matrix" not in payload and "jobs" not in payload["config"]
 
     def test_matrix_legs(self, payload):
-        rows = payload["matrix"]
-        by_phase = {row["phase"]: row for row in rows}
-        # One serial reference leg plus a cold/reuse pair per jobs value.
-        assert "parallel_proc_j1" in by_phase
-        for jobs in (2, 4):
-            cold = by_phase["parallel_proc_j%d_cold" % jobs]
-            warm = by_phase["parallel_proc_j%d_reuse" % jobs]
+        from repro.perf.benchperf import MATRIX_JOBS
+
+        phases = payload["phases"]
+        # A cold/reuse pair per jobs value of the matrix.
+        for jobs in MATRIX_JOBS:
+            cold = phases["parallel_proc_j%d_cold" % jobs]
+            warm = phases["parallel_proc_j%d_reuse" % jobs]
             assert cold["pool_reuse"] is False
             assert warm["pool_reuse"] is True
             assert cold["jobs"] == warm["jobs"] == jobs
-        for row in rows:
-            phase = payload["phases"][row["phase"]]
-            assert phase["seconds"] == row["seconds"]
-            assert ("workers" in phase) == (row["jobs"] > 1)
+        for record in phases.values():
+            assert ("workers" in record) == (record["jobs"] > 1)
+            assert ("pool_reuse" in record) == (record["jobs"] > 1)
 
     def test_parallel_gate_verdict(self, payload):
         from repro.perf.benchperf import PARALLEL_NOISE_FLOOR
@@ -339,7 +359,11 @@ class TestBenchPerf:
         from repro.perf.benchperf import PARALLEL_NOISE_FLOOR
 
         long = PARALLEL_NOISE_FLOOR * 4
-        legs = {"parallel": (2, 1.3), "parallel_proc_j4_cold": (4, 1.6)}
+        legs = {
+            "parallel_proc_j2_cold": (2, 1.1),
+            "parallel_proc_j2_reuse": (2, 1.3),
+            "parallel_proc_j4_cold": (4, 1.6),
+        }
         assert self._gate(PARALLEL_NOISE_FLOOR / 2, legs, 8) == {
             "status": "skipped (below noise floor)",
             "affinity": 8,
@@ -354,18 +378,30 @@ class TestBenchPerf:
         assert self._gate(long, legs, 2) == {
             "status": "checked",
             "affinity": 2,
-            "best_leg": "parallel",
+            "best_leg": "parallel_proc_j2_reuse",
             "best_speedup": 1.3,
             "ok": True,
         }
         assert self._gate(long, legs, 4)["best_leg"] == "parallel_proc_j4_cold"
-        failed = self._gate(long, {"parallel": (2, 0.9)}, 2)
+        failed = self._gate(
+            long,
+            {"parallel_proc_j2_cold": (2, 0.9),
+             "parallel_proc_j2_reuse": (2, 1.0)},
+            2,
+        )
+        # The bound is strict: 1.0x does not beat serial.
         assert failed["status"] == "checked" and failed["ok"] is False
+        assert failed["best_speedup"] == 1.0
 
     def test_qor_identity_and_gate(self, payload):
+        from repro.perf.benchperf import bench_gate
+
         assert payload["qor_identical"] is True
         assert payload["gate"]["pass"] is True
         assert "qor_mismatches" not in payload
+        # The recorded verdict is the pure gate of the payload itself.
+        assert bench_gate(payload) == payload["gate"]
+        assert payload["gate"]["warm_phase_all_hits"] is True
 
     def test_warm_phase_all_hits(self, payload):
         warm = payload["phases"]["warm_cache"]["cache"]
@@ -392,7 +428,7 @@ class TestBenchPerf:
         out = tmp_path / "quick.json"
         code = main(
             [
-                "bench-perf", "--quick", "--gate", "-o", str(out),
+                "bench-perf", "--quick", "-o", str(out),
                 "--circuits", "count", "--ks", "4",
                 "--timestamp", "2026-08-06T00:00:00Z",
             ]
@@ -400,6 +436,117 @@ class TestBenchPerf:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["gate"]["pass"] is True
+
+
+def _gate_payload(warm_seconds=0.2, warm_misses=0, cold_evictions=0,
+                  qor_identical=True, j2_speedup=1.3, affinity=2):
+    """A synthetic bench-perf payload carrying what ``bench_gate`` reads."""
+    phases = {
+        "serial_uncached": {"seconds": 1.0, "jobs": 1,
+                            "speedup_vs_serial": 1.0},
+        "cold_cache": {"seconds": 0.8, "jobs": 1, "speedup_vs_serial": 1.25,
+                       "cache": {"hits": 10, "misses": 40, "hit_rate": 0.2,
+                                 "evictions": cold_evictions}},
+        "warm_cache": {"seconds": warm_seconds, "jobs": 1,
+                       "speedup_vs_serial": round(1.0 / warm_seconds, 3),
+                       "cache": {"hits": 50 - warm_misses,
+                                 "misses": warm_misses,
+                                 "hit_rate": (50 - warm_misses) / 50,
+                                 "evictions": 0}},
+        "parallel_proc_j2_cold": {"seconds": 1.0, "jobs": 2,
+                                  "speedup_vs_serial": 1.0},
+        "parallel_proc_j2_reuse": {"seconds": 1.0 / j2_speedup, "jobs": 2,
+                                   "speedup_vs_serial": j2_speedup},
+        "parallel_proc_j4_cold": {"seconds": 0.5, "jobs": 4,
+                                  "speedup_vs_serial": 2.0},
+    }
+    return {
+        "config": {"cpu_affinity": affinity},
+        "phases": phases,
+        "qor_identical": qor_identical,
+    }
+
+
+class TestBenchGate:
+    """Branches of the one perf gate, on synthetic payloads."""
+
+    @staticmethod
+    def _gate(**overrides):
+        from repro.perf.benchperf import bench_gate
+
+        return bench_gate(_gate_payload(**overrides))
+
+    def test_healthy_payload_passes(self):
+        gate = self._gate()
+        assert gate == {
+            "qor_identical": True,
+            "warm_not_slower_than_cold": True,
+            "warm_phase_all_hits": True,
+            "parallel": {
+                "status": "checked",
+                "affinity": 2,
+                "best_leg": "parallel_proc_j2_reuse",
+                "best_speedup": 1.3,
+                "ok": True,
+            },
+            "pass": True,
+        }
+
+    def test_warm_slowdown_fails(self):
+        # cold 0.8 s: the bound is 0.8 * 1.2 + 0.05 = 1.01 s.
+        assert self._gate(warm_seconds=1.0)["pass"] is True
+        gate = self._gate(warm_seconds=0.8 * 3 + 1.0)
+        assert gate["warm_not_slower_than_cold"] is False
+        assert gate["pass"] is False
+
+    def test_warm_miss_fails(self):
+        gate = self._gate(warm_misses=1)
+        assert gate["warm_phase_all_hits"] is False
+        assert gate["pass"] is False
+
+    def test_warm_miss_after_cold_eviction_is_skipped(self):
+        gate = self._gate(warm_misses=5, cold_evictions=3)
+        assert gate["warm_phase_all_hits"] is None
+        assert gate["pass"] is True
+
+    def test_qor_mismatch_fails(self):
+        gate = self._gate(qor_identical=False)
+        assert gate["qor_identical"] is False
+        assert gate["pass"] is False
+
+    def test_parallel_verdict_drives_the_gate(self):
+        # Eligible jobs=2 legs at <= 1.0x fail; the jobs=4 leg's 2.0x
+        # does not count on two cores.
+        failed = self._gate(j2_speedup=0.9)
+        assert failed["parallel"]["ok"] is False
+        assert failed["pass"] is False
+        # One core: every leg is ineligible, the verdict is skipped.
+        skipped = self._gate(j2_speedup=0.9, affinity=1)
+        assert skipped["parallel"]["status"] == "skipped (insufficient cores)"
+        assert skipped["pass"] is True
+        # Four cores: the jobs=4 leg is eligible and carries the verdict.
+        four = self._gate(j2_speedup=0.9, affinity=4)
+        assert four["parallel"]["best_leg"] == "parallel_proc_j4_cold"
+        assert four["pass"] is True
+
+    def test_cli_exit_status_is_the_verdict(self, monkeypatch, capsys):
+        import repro.perf.benchperf as benchperf
+        from repro.cli import main
+        from repro.perf.benchperf import bench_gate
+
+        for overrides, code in (({}, 0), ({"warm_misses": 2}, 1)):
+            payload = _gate_payload(**overrides)
+            payload.update(
+                cells=1, config={"circuits": ["c"], "ks": [3],
+                                 "cpu_affinity": 2},
+            )
+            payload["gate"] = bench_gate(payload)
+            monkeypatch.setattr(
+                benchperf, "run_bench_perf", lambda p=payload, **kw: p
+            )
+            assert main(["bench-perf", "--quick"]) == code
+            out = capsys.readouterr().out
+            assert ("gate PASS" if code == 0 else "gate FAIL") in out
 
 
 class TestWorkerTelemetry:
@@ -444,9 +591,9 @@ class TestWorkerTelemetry:
         from repro.perf.benchperf import run_bench_perf
 
         payload = run_bench_perf(
-            circuits=["9symml"], ks=(3,), jobs=2, created_at="t"
+            circuits=["9symml"], ks=(3,), created_at="t"
         )
-        workers = payload["phases"]["parallel"]["workers"]
+        workers = payload["phases"]["parallel_proc_j2_cold"]["workers"]
         # The >=3 attribution buckets the acceptance criteria name.
         assert workers["tasks"] > 0
         assert workers["compute_seconds"] > 0.0
@@ -465,22 +612,25 @@ class TestWorkerTelemetry:
         payload = {
             "cells": 1,
             "config": {
-                "circuits": ["c"], "ks": [3], "jobs": 4,
+                "circuits": ["c"], "ks": [3],
                 "cpu_count": 2, "cpu_affinity": 2,
             },
             "phases": {
                 name: {"seconds": 1.0, "speedup_vs_serial": 1.0,
-                       "jobs": 4 if name == "parallel" else 1}
+                       "jobs": int(name[len("parallel_proc_j")])
+                       if name.startswith("parallel") else 1}
                 for name in (
-                    "serial_uncached", "cold_cache", "warm_cache", "parallel",
+                    "serial_uncached", "cold_cache", "warm_cache",
+                    "parallel_proc_j2_cold", "parallel_proc_j4_cold",
                 )
             },
             "qor_identical": True,
             "gate": {"pass": True},
         }
         text = render_bench_perf(payload)
-        assert "WARNING" in text
-        assert "jobs=4" in text and "2 schedulable core" in text
+        # Only the jobs=4 legs exceed the two cores.
+        (warning,) = [line for line in text.splitlines() if "WARNING" in line]
+        assert "jobs=4" in warning and "2 schedulable core" in warning
 
     def test_render_silent_when_cores_suffice(self):
         from repro.perf.benchperf import render_bench_perf
@@ -488,14 +638,15 @@ class TestWorkerTelemetry:
         payload = {
             "cells": 1,
             "config": {
-                "circuits": ["c"], "ks": [3], "jobs": 2,
+                "circuits": ["c"], "ks": [3],
                 "cpu_count": 8, "cpu_affinity": 8,
             },
             "phases": {
                 name: {"seconds": 1.0, "speedup_vs_serial": 1.0,
-                       "jobs": 2 if name == "parallel" else 1}
+                       "jobs": 4 if name.startswith("parallel") else 1}
                 for name in (
-                    "serial_uncached", "cold_cache", "warm_cache", "parallel",
+                    "serial_uncached", "cold_cache", "warm_cache",
+                    "parallel_proc_j4_cold",
                 )
             },
             "qor_identical": True,

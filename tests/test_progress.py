@@ -149,19 +149,19 @@ class TestSuiteIntegration:
 
         events = []
         emitter = ProgressEmitter(total=0, callback=events.append)
+        from repro.perf.benchperf import PHASES
+
         payload = run_bench_perf(
             circuits=["9symml"],
             ks=(3,),
-            jobs=2,
             created_at="t",
             progress=emitter,
-            matrix=False,
         )
         assert payload["gate"]["pass"] is True
         # One started+finished pair per cell per phase.
-        assert emitter.total == 4
+        assert emitter.total == len(PHASES) == 7
         phases = {e.phase for e in events}
-        assert phases == {
-            "serial_uncached", "cold_cache", "warm_cache", "parallel",
-        }
-        assert emitter.finished == 4
+        assert phases == {name for name, *_ in PHASES} == set(
+            payload["phases"]
+        )
+        assert emitter.finished == 7

@@ -145,6 +145,8 @@ class TestMetricPolicy:
         assert by_metric["luts"].hard and by_metric["luts"].gate
         assert by_metric["depth"].hard and by_metric["depth"].gate
         assert not by_metric["seconds"].hard
+        assert not by_metric["seconds"].gate
+        assert not by_metric["wall_seconds"].gate
 
 
 class TestDiff:
@@ -184,7 +186,19 @@ class TestDiff:
         base = make_record([make_report(seconds=2.0)])
         cur = make_record([make_report(seconds=4.0)])  # +100% > 50% + 250ms
         diff = diff_records(base, cur)
-        assert [c.metric for c in diff.gate_failures] == ["seconds"]
+        # Classified REGRESSED on the dashboard, but raw seconds measure
+        # the host, so they never fail the gate.
+        assert [c.metric for c in diff.regressions] == ["seconds"]
+        assert not diff.gate_failures and diff.passes_gate()
+
+    def test_extra_lut_and_depth_still_fail_under_slowdown(self):
+        base = make_record([make_report(luts=10, depth=3, seconds=2.0)])
+        cur = make_record([make_report(luts=11, depth=4, seconds=4.0)])
+        diff = diff_records(base, cur)
+        assert not diff.passes_gate()
+        assert sorted(c.metric for c in diff.gate_failures) == [
+            "depth", "luts",
+        ]
 
     def test_improvement_classified(self):
         base = make_record([make_report(luts=10)])
